@@ -20,8 +20,8 @@ and two rate metrics:
   reproducible on any machine; a change means the protocol behaviour
   changed, not the hardware.  This is the primary regression gate.
 * ``commits_per_wall_second`` — simulated commits per wall-clock second,
-  the headline *speed* metric (batching must not change any virtual-time
-  outcome, so all speedups show up here and only here).  Wall clocks are
+  the headline *speed* metric (a pure speedup changes no virtual-time
+  outcome, so it shows up here and only here).  Wall clocks are
   noisy, so the gate treats this as a derated secondary check.
 
 Results are written as machine-readable JSON (``BENCH_results.json``);
@@ -148,12 +148,10 @@ def _result(name: str, completed: bool, wall: float, sim_seconds: float,
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-def bench_throughput(smoke: bool = False, batching: bool = True,
-                     profile: bool = False) -> BenchResult:
+def bench_throughput(smoke: bool = False, profile: bool = False) -> BenchResult:
     """Steady-state OLTP load on five sites, no faults."""
     duration = 1.5 if smoke else 6.0
-    cluster = ClusterBuilder(n_sites=5, db_size=200, seed=11,
-                             batching=batching).build()
+    cluster = ClusterBuilder(n_sites=5, db_size=200, seed=11).build()
     if profile:
         from repro.obs.profile import attach_profiler
 
@@ -183,7 +181,7 @@ def bench_throughput(smoke: bool = False, batching: bool = True,
 
 
 def bench_figure(mode: str, smoke: bool = False,
-                 batching: bool = True, profile: bool = False) -> BenchResult:
+                 profile: bool = False) -> BenchResult:
     """The Figure 1 (VS) / Figure 2 (EVS) cascading reconfiguration."""
     from repro.scenarios import run_figure1_scenario
 
@@ -191,8 +189,7 @@ def bench_figure(mode: str, smoke: bool = False,
     if smoke:
         kwargs.update(db_size=120, arrival_rate=50.0)
     start = time.perf_counter()
-    report = run_figure1_scenario(batching=batching, profile=profile,
-                                  **kwargs)
+    report = run_figure1_scenario(profile=profile, **kwargs)
     wall = time.perf_counter() - start
     cluster = report.cluster
     return _result(
@@ -205,15 +202,13 @@ def bench_figure(mode: str, smoke: bool = False,
     )
 
 
-def bench_chaos(smoke: bool = False, batching: bool = True,
-                profile: bool = False) -> BenchResult:
+def bench_chaos(smoke: bool = False, profile: bool = False) -> BenchResult:
     """One pinned seeded chaos storm (fault-heavy mixed scenario)."""
     from repro.faults import ChaosConfig, ChaosEngine
 
     config = ChaosConfig(seed=3, intensity=0.5, n_sites=4, db_size=40,
                          duration=1.5 if smoke else 3.0,
-                         arrival_rate=60.0, batching=batching,
-                         profile=profile)
+                         arrival_rate=60.0, profile=profile)
     engine = ChaosEngine(config)
     start = time.perf_counter()
     report = engine.run()
@@ -230,7 +225,7 @@ def bench_chaos(smoke: bool = False, batching: bool = True,
     )
 
 
-def bench_client_failover(smoke: bool = False, batching: bool = True,
+def bench_client_failover(smoke: bool = False,
                           profile: bool = False) -> BenchResult:
     """Closed-loop client sessions riding out a pinned fault storm.
 
@@ -247,8 +242,7 @@ def bench_client_failover(smoke: bool = False, batching: bool = True,
 
     config = ChaosConfig(seed=23, mode="evs", intensity=0.5, n_sites=4,
                          db_size=40, duration=1.5 if smoke else 3.0,
-                         arrival_rate=60.0, clients=6, batching=batching,
-                         profile=profile)
+                         arrival_rate=60.0, clients=6, profile=profile)
     engine = ChaosEngine(config)
     start = time.perf_counter()
     report = engine.run()
@@ -270,10 +264,8 @@ SCENARIOS = ("throughput", "figure1", "figure2_evs", "chaos",
 
 _RUNNERS = {
     "throughput": bench_throughput,
-    "figure1": lambda smoke, batching, profile: bench_figure(
-        "vs", smoke, batching, profile),
-    "figure2_evs": lambda smoke, batching, profile: bench_figure(
-        "evs", smoke, batching, profile),
+    "figure1": lambda smoke, profile: bench_figure("vs", smoke, profile),
+    "figure2_evs": lambda smoke, profile: bench_figure("evs", smoke, profile),
     "chaos": bench_chaos,
     "client_failover": bench_client_failover,
 }
@@ -290,11 +282,11 @@ def validate_scenarios(names: List[str]) -> None:
         )
 
 
-def run_scenario(name: str, smoke: bool = False, batching: bool = True,
+def run_scenario(name: str, smoke: bool = False,
                  profile: bool = False) -> BenchResult:
     """Run one pinned scenario by name."""
     validate_scenarios([name])
-    return _RUNNERS[name](smoke, batching, profile)
+    return _RUNNERS[name](smoke, profile)
 
 
 def _best_of_rows(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -308,7 +300,7 @@ def _best_of_rows(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     return best
 
 
-def run_matrix(smoke: bool = False, batching: bool = True,
+def run_matrix(smoke: bool = False,
                only: Optional[List[str]] = None,
                best_of: int = 1, jobs: int = 1,
                profile: bool = False) -> Dict[str, Any]:
@@ -336,7 +328,7 @@ def run_matrix(smoke: bool = False, batching: bool = True,
         tasks = [
             FleetTask(key=f"{name}#{rep}", kind="bench",
                       params={"scenario": name, "smoke": smoke,
-                              "batching": batching, "profile": profile})
+                              "profile": profile})
             for name in names for rep in range(reps)
         ]
         payloads = run_fleet(tasks, jobs=jobs)
@@ -351,13 +343,12 @@ def run_matrix(smoke: bool = False, batching: bool = True,
             results[name] = _best_of_rows(rows)
     else:
         for name in names:
-            rows = [asdict(run_scenario(name, smoke, batching, profile))
+            rows = [asdict(run_scenario(name, smoke, profile))
                     for _ in range(reps)]
             results[name] = _best_of_rows(rows)
     return {
         "schema": SCHEMA_VERSION,
         "smoke": smoke,
-        "batching": batching,
         "best_of": reps,
         "python": platform.python_version(),
         "scenarios": results,
@@ -391,8 +382,8 @@ def compare_to_baseline(results: Dict[str, Any], baseline: Dict[str, Any],
     * **deterministic** — ``commits_per_sim_second`` (commits per
       *simulated* second) must stay within ``sim_tolerance`` of the
       baseline.  This metric is a pure function of the seed, identical
-      across machines and across the batching on/off configurations, so
-      a drop means the protocol's behaviour changed.
+      across machines, so a drop means the protocol's behaviour
+      changed.
     * **wall-clock** — ``commits_per_wall_second`` must stay within
       ``tolerance`` (noisy secondary check for real slowdowns).
       Skipped when ``check_wall`` is false: a ``--profile`` run pays
@@ -465,14 +456,14 @@ def compare_to_baseline(results: Dict[str, Any], baseline: Dict[str, Any],
     return failures
 
 
-def main(smoke: bool = False, batching: bool = True,
+def main(smoke: bool = False,
          output: str = "BENCH_results.json",
          baseline: Optional[str] = None,
          tolerance: float = DEFAULT_TOLERANCE,
          only: Optional[List[str]] = None,
          best_of: int = 1, jobs: int = 1, profile: bool = False) -> int:
     try:
-        results = run_matrix(smoke=smoke, batching=batching, only=only,
+        results = run_matrix(smoke=smoke, only=only,
                              best_of=best_of, jobs=jobs, profile=profile)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

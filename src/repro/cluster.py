@@ -9,7 +9,7 @@ of the paper's Figures 1 and 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.checkers import HistoryRecorder, run_all_checks
@@ -76,7 +76,6 @@ class ClusterBuilder:
         loss_rate: float = 0.0,
         initial_sites: Optional[Sequence[str]] = None,
         initial_value: Any = 0,
-        batching: bool = True,
         backend: Optional[str] = None,
     ) -> None:
         self.n_sites = n_sites
@@ -94,20 +93,13 @@ class ClusterBuilder:
         self.loss_rate = loss_rate
         self.initial_sites = list(initial_sites) if initial_sites is not None else None
         self.initial_value = initial_value
-        #: Master switch for the hot-path batching layers (network
-        #: same-tick coalescing, sequencer OrderedBatch staging, bulk
-        #: write application).  Batching is behaviour-preserving — the
-        #: switch exists for the equivalence tests and for measuring the
-        #: wall-clock speedup (``python -m repro bench``).
-        self.batching = batching
 
     def site_names(self) -> Tuple[str, ...]:
         return tuple(f"S{i + 1}" for i in range(self.n_sites))
 
     def build(self) -> "Cluster":
         sim = Simulator(seed=self.seed)
-        network = Network(sim, latency=self.latency, loss_rate=self.loss_rate,
-                          coalesce=self.batching)
+        network = Network(sim, latency=self.latency, loss_rate=self.loss_rate)
         universe = self.site_names()
         initial_db = {f"obj{i}": self.initial_value for i in range(self.db_size)}
         initial_sites = set(self.initial_sites if self.initial_sites is not None else universe)
@@ -116,19 +108,11 @@ class ClusterBuilder:
         else:
             strategy = self.strategy
 
-        gcs_config = self.gcs_config
-        node_config = self.node_config
-        if not self.batching:
-            # Force every batching layer off, without mutating configs the
-            # caller may reuse elsewhere.
-            gcs_config = replace(gcs_config or GCSConfig(), sequencer_batching=False)
-            node_config = replace(node_config or NodeConfig(), batch_writes=False)
-
         backend = resolve_backend(self.mode, self.backend)
         history = HistoryRecorder(clock=lambda: sim.now)
         cluster = Cluster(sim, network, {}, history, strategy, initial_db)
-        cluster._gcs_config = gcs_config
-        cluster._node_config = node_config
+        cluster._gcs_config = self.gcs_config
+        cluster._node_config = self.node_config
         cluster._mode = backend.gcs_mode
         cluster._backend = backend
         for site in universe:

@@ -168,23 +168,21 @@ def _dump_first_failure(report: DifferentialReport, kind: str,
     make = _chaos_params if kind == "chaos" else _endurance_params
     params = make(seed, backend, dict(overrides))
     if kind == "chaos":
-        from repro.faults.chaos import ChaosConfig, ChaosEngine
+        from repro.faults.chaos import ChaosConfig, ChaosEngine, repro_command
 
         engine = ChaosEngine(ChaosConfig(**params))
-        flag = ""
     else:
-        from repro.endurance import EnduranceConfig, EnduranceEngine
+        from repro.endurance import (EnduranceConfig, EnduranceEngine,
+                                     repro_command)
 
         engine = EnduranceEngine(EnduranceConfig(**params))
-        flag = "--endurance "
     run_report = engine.run()
     out_dir = os.path.join(artifacts_dir, f"diff-{kind}-seed{seed}-{backend}")
     return dump_run_artifacts(
         out_dir,
         title=(f"differential {kind} seed={seed} backend={backend} "
                f"FAILED: {run_report.error}"),
-        repro_command=(f"PYTHONPATH=src python -m repro chaos {flag}"
-                       f"--seed {seed} --backend {backend}"),
+        repro_command=repro_command(engine.config),
         schedule=run_report.events,
         samples=getattr(run_report, "samples", None),
         tracer=run_report.tracer,

@@ -82,7 +82,6 @@ class EnduranceConfig:
     backoff_jitter: float = 0.5
     quiesce_timeout: float = 60.0
     enable_torn_wal: bool = True
-    batching: bool = True
     observe: bool = False
     #: Attach the deterministic event-loop profiler (repro.obs.profile).
     #: Observation-equivalent: schedules and digests are unchanged.
@@ -323,7 +322,6 @@ class EnduranceEngine:
             strategy=config.strategy,
             mode=config.mode,
             backend=config.backend,
-            batching=config.batching,
             # A flapping straggler must not starve a suspended majority:
             # allow creation from any primary view (uniform delivery).
             node_config=NodeConfig(creation_majority=True),
@@ -499,17 +497,22 @@ class EnduranceEngine:
 
 
 def repro_command(config: EnduranceConfig) -> str:
-    """The minimal CLI invocation that replays this exact run."""
+    """The CLI invocation that replays this exact run.
+
+    Every field ``chaos --endurance`` sets is emitted, defaults included,
+    so the command replays the same run even if a default changes.
+    ``--backend`` is left out only when no backend is set (``--mode``
+    then selects it).
+    """
     parts = ["PYTHONPATH=src python -m repro chaos --endurance",
              f"--seed {config.seed}", f"--mode {config.mode}"]
     if config.backend is not None:
         parts.append(f"--backend {config.backend}")
-    if config.strategy != EnduranceConfig.strategy:
-        parts.append(f"--strategy {config.strategy}")
-    if config.segments != EnduranceConfig.segments:
-        parts.append("--segments " + ",".join(config.segments))
-    if config.duration != EnduranceConfig.duration:
-        parts.append(f"--duration {config.duration:g}")
+    parts += [f"--strategy {config.strategy}", f"--sites {config.n_sites}",
+              f"--db-size {config.db_size}", f"--rate {config.arrival_rate!r}",
+              f"--clients {config.clients}",
+              "--segments " + ",".join(config.segments),
+              f"--duration {config.duration!r}"]
     if config.sabotage_outcome_merge:
         parts.append("--sabotage-outcome-merge")
     return " ".join(parts)

@@ -74,10 +74,6 @@ class ChaosConfig:
     #: Used by tests/CI to prove check_exactly_once actually catches
     #: double execution — a sabotaged run is expected to FAIL.
     sabotage_dedup: bool = False
-    #: Hot-path batching (sequencer, network, bulk writes).  Off gives
-    #: the pre-batching event schedule; histories and final states are
-    #: identical either way (see tests/properties/test_batching_equivalence).
-    batching: bool = True
     #: Attach the full observability layer (metrics registry + causal
     #: spans, repro.obs) instead of the bare tracer.  The report then
     #: carries an ``obs`` handle whose trace/metrics can be exported —
@@ -255,7 +251,6 @@ class ChaosEngine:
             strategy=config.strategy,
             mode=config.mode,
             backend=config.backend,
-            batching=config.batching,
         ).build()
         self.cluster = cluster
         if config.observe:
@@ -499,3 +494,25 @@ def run_chaos(seed: int, intensity: float = 0.5, **overrides: Any) -> ChaosRepor
     """One-call entry point: run a chaos storm and return its report."""
     config = ChaosConfig(seed=seed, intensity=intensity, **overrides)
     return ChaosEngine(config).run()
+
+
+def repro_command(config: ChaosConfig) -> str:
+    """The CLI invocation that replays this exact run.
+
+    Every field the ``chaos`` command sets is emitted, defaults included,
+    so the command replays the same run even if a default changes.
+    ``--backend`` is left out only when no backend is set (``--mode``
+    then selects it).
+    """
+    parts = ["PYTHONPATH=src python -m repro chaos",
+             f"--seed {config.seed}", f"--mode {config.mode}"]
+    if config.backend is not None:
+        parts.append(f"--backend {config.backend}")
+    parts += [f"--strategy {config.strategy}", f"--sites {config.n_sites}",
+              f"--db-size {config.db_size}", f"--rate {config.arrival_rate!r}",
+              f"--clients {config.clients}",
+              f"--intensity {config.intensity!r}",
+              f"--duration {config.duration!r}"]
+    if config.sabotage_dedup:
+        parts.append("--sabotage-dedup")
+    return " ".join(parts)

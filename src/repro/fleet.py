@@ -62,7 +62,6 @@ def _run_bench(params: Dict[str, Any]) -> Dict[str, Any]:
 
     result = bench.run_scenario(params["scenario"],
                                 smoke=params.get("smoke", False),
-                                batching=params.get("batching", True),
                                 profile=params.get("profile", False))
     return asdict(result)
 
@@ -94,8 +93,9 @@ def _run_endurance(params: Dict[str, Any]) -> Dict[str, Any]:
     payload = report.payload()
     if artifacts_dir is not None and not report.ok:
         payload["artifacts"] = dump_artifacts(
-            engine, os.path.join(artifacts_dir,
-                                 f"seed{config.seed}-{config.mode}"))
+            engine, os.path.join(
+                artifacts_dir,
+                f"seed{config.seed}-{config.backend or config.mode}"))
     return payload
 
 

@@ -57,12 +57,6 @@ class GCSConfig:
     retransmit_interval: float = 0.1
     uniform: bool = True
     primary_policy: str = "static"
-    #: Sequencer hot-path batching: coalesce the Ordered messages
-    #: produced within one delivery round into a single OrderedBatch
-    #: wire message per member.  Behaviour-preserving (same arrival
-    #: ticks, same delivery order); retransmissions always use plain
-    #: Ordered messages.
-    sequencer_batching: bool = True
     #: Allow the member set to grow at runtime (the paper's "extending
     #: our discussion to dynamic groups ... is straightforward"): nodes
     #: discovered through presence beacons join the universe.  Requires

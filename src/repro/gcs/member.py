@@ -304,19 +304,19 @@ class GroupMember(Process):
             me=self.node_id,
             base_gseq=base_gseq,
             send=self.endpoint.send,
-            deliver=self._deliver,
-            uniform=self.config.uniform,
-            defer=lambda fn: self.after(0.0, fn),
-            batch=self.config.sequencer_batching,
             send_many=self.endpoint.send_many,
+            deliver=self._deliver,
+            defer=lambda fn: self.after(0.0, fn),
+            uniform=self.config.uniform,
             obs=self.to_obs,
         )
 
     def freeze_for_flush(self) -> None:
         """Stop sending and delivering while a membership round runs."""
-        # Ship any Ordered messages still staged for end-of-tick batching
-        # first: remote members can then contribute them to their own
-        # flush replies instead of relying solely on the sequencer's cut.
+        # Seal any Ordered messages still staged for the end-of-tick
+        # batch first: remote members can then contribute them to their
+        # own flush replies instead of relying solely on the sequencer's
+        # cut.
         self.to.flush_staged()
         self._blocked = True
         self.to.closed = True

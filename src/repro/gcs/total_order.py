@@ -5,7 +5,8 @@ Protocol (per view):
 1. The *sequencer* is the lexicographically smallest view member.
 2. A member multicasts by unicasting ``Data`` to the sequencer, which
    assigns the next view sequence number and the next *global* sequence
-   number (gseq), and multicasts ``Ordered`` to every member.
+   number (gseq), and multicasts ``Ordered`` to every member (all
+   ``Ordered`` of one delivery round travel as one ``OrderedBatch``).
 3. Every member, upon holding ``Ordered`` s, broadcasts a cumulative
    ``Ack`` (highest gap-free sequence it holds).
 4. A message is **delivered** in sequence order once *all* view members
@@ -45,16 +46,15 @@ class ViewTotalOrder:
     A fresh instance is created at every view installation; the old one
     is discarded after its flush cut has been extracted.
 
-    When ``defer`` is given and ``batch`` is True, the sequencer ships
-    the Ordered messages produced within one delivery round (one
-    simulator tick) as a single :class:`OrderedBatch` per member — same
-    arrival times, far fewer wire messages.  The (mutable) batch goes on
-    the wire when the round's first message is sequenced, reserving that
-    message's delivery slot so same-time event ordering at the receivers
-    matches unbatched mode exactly; it is sealed by the deferred
-    end-of-tick flush, before any delivery can fire.  Local
-    self-delivery stays immediate, so the sequencer's own protocol state
-    is identical either way.
+    The sequencer ships the Ordered messages produced within one
+    delivery round (one simulator tick) as a single
+    :class:`OrderedBatch` per member, with its own cumulative ack
+    piggybacked.  The (mutable) batch goes on the wire when the round's
+    first message is sequenced, reserving that message's delivery slot,
+    and is sealed by the end-of-tick flush that ``defer`` schedules,
+    before any delivery can fire.  Local self-delivery is immediate.
+    Retransmissions (NAK answers, maintenance pushes) use plain
+    :class:`Ordered` messages through ``send``.
     """
 
     def __init__(
@@ -63,11 +63,10 @@ class ViewTotalOrder:
         me: str,
         base_gseq: int,
         send: SendFn,
+        send_many: SendManyFn,
         deliver: DeliverFn,
+        defer: DeferFn,
         uniform: bool = True,
-        defer: Optional[DeferFn] = None,
-        batch: bool = False,
-        send_many: Optional[SendManyFn] = None,
         obs: Optional[object] = None,
     ) -> None:
         self.view = view
@@ -87,10 +86,6 @@ class ViewTotalOrder:
         self.retransmissions = 0
         #: Every member but this one, in view order — the broadcast fan-out.
         self._others: Tuple[str, ...] = tuple(m for m in view.members if m != me)
-        if send_many is None:
-            def send_many(dsts: Tuple[str, ...], payload: object) -> None:
-                for dst in dsts:
-                    send(dst, payload)
         self._send_many = send_many
 
         # Sequencer-side state.
@@ -98,7 +93,6 @@ class ViewTotalOrder:
         self._sequenced_msg_ids: set = set()
         self._history: Dict[int, Ordered] = {}
         self._defer = defer
-        self._batch = batch and defer is not None
         self._stage: List[Ordered] = []
         #: The in-flight mutable batch of the current round (already on
         #: the wire, sealed by :meth:`flush_staged`); None between rounds.
@@ -139,30 +133,21 @@ class ViewTotalOrder:
             payload=msg.payload,
         )
         self._history[seq] = ordered
-        if self._batch:
-            # Stage the remote sends; deliver to self immediately so the
-            # sequencer's own ack/highwater state matches unbatched mode.
-            self._stage.append(ordered)
-            if self._open_batch is None:
-                # Ship the (still empty) batch now, at the wire slot the
-                # first per-message send would have occupied: delivery
-                # events fire in insertion order at equal virtual times,
-                # so sending only at end of tick would let same-time
-                # timers scheduled mid-tick overtake the delivery and
-                # observably reorder events relative to unbatched mode.
-                # The seal (the deferred flush) runs before any delivery
-                # of this tick's sends can fire.
-                self._flush_scheduled = True
-                self._defer(self.flush_staged)
-                self._open_batch = OrderedBatch(view_id=self.view.view_id, items=())
-                self._send_many(self._others, self._open_batch)
-            self.on_ordered(ordered)
-            return
-        for member in self.view.members:
-            if member == self.me:
-                self.on_ordered(ordered)
-            else:
-                self._send(member, ordered)
+        # Stage the remote sends; deliver to self immediately.
+        self._stage.append(ordered)
+        if self._open_batch is None:
+            # Ship the (still empty) batch now, at the wire slot of the
+            # round's first message: delivery events fire in insertion
+            # order at equal virtual times, so sending only at end of
+            # tick would let same-time timers scheduled mid-tick overtake
+            # the delivery (a duplicate EVS merge once did, shifting every
+            # later gid).  The seal (the deferred flush) runs before any
+            # delivery of this tick's sends can fire.
+            self._flush_scheduled = True
+            self._defer(self.flush_staged)
+            self._open_batch = OrderedBatch(view_id=self.view.view_id, items=())
+            self._send_many(self._others, self._open_batch)
+        self.on_ordered(ordered)
 
     def flush_staged(self) -> None:
         """Seal the in-flight OrderedBatch of the current delivery round
@@ -223,14 +208,13 @@ class ViewTotalOrder:
         self._maybe_deliver()
 
     def on_ordered_batch(self, batch: OrderedBatch) -> None:
-        """Receive a coalesced round of Ordered messages.
+        """Receive one sequencer round of Ordered messages.
 
-        Record them all, then send a *single* cumulative ack: the acks
-        the per-message path would emit for each item of the batch all
-        travel at the same tick and are subsumed by the final (highest)
-        one, so skipping the intermediates changes no receiver state at
-        any virtual time.  A piggybacked sequencer ack is applied last,
-        in the position its separate wire message would have had."""
+        Record them all, then send a *single* cumulative ack: per-item
+        acks would all travel at the same tick and be subsumed by the
+        final (highest) one, so skipping the intermediates changes no
+        receiver state at any virtual time.  The piggybacked sequencer
+        ack is applied last."""
         advanced = False
         for msg in batch.items:
             if msg.view_id != self.view.view_id or msg.seq in self.received:

@@ -57,8 +57,8 @@ class Endpoint:
         #: arrays (component membership); hot paths use it instead of
         #: hashing the node-id string.
         self.index = index
-        #: Precomputed schedule label for coalesced delivery events, so
-        #: the send fast path never formats a string.
+        #: Precomputed schedule label for delivery events, so the send
+        #: path never formats a string.
         self.batch_label = f"net batch ->{node_id}"
         self.up = False
         #: Reliable endpoints model a TCP-like transport (the paper's data
@@ -79,11 +79,6 @@ class Endpoint:
     def send_many(self, dsts: Iterable[str], payload: Any) -> None:
         self.network.send_multi(self.node_id, dsts, payload)
 
-    def _deliver(self, src: str, payload: Any) -> None:
-        if self.up and self._handler is not None:
-            self.messages_received += 1
-            self._handler(src, payload)
-
 
 class Network:
     """Central switch connecting all endpoints of a simulation.
@@ -91,6 +86,11 @@ class Network:
     Partitions are modelled as a mapping node -> component id.  Two nodes
     can communicate iff they are in the same component.  ``heal()`` puts
     every node back into one component.
+
+    All messages arriving at one destination at the same virtual time
+    are delivered by a single scheduled event, in send order.  Loss,
+    injector transforms and reachability stay per message, so the fault
+    model is that of one event per message; only the event count drops.
     """
 
     def __init__(
@@ -98,24 +98,17 @@ class Network:
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
-        coalesce: bool = True,
     ) -> None:
         self.sim = sim
         self.latency = latency or UniformLatency()
         self.loss_rate = validate_loss_rate(loss_rate)
-        #: Same-tick delivery coalescing: all messages arriving at one
-        #: destination at the same virtual time are delivered by a single
-        #: scheduled event (in send order) instead of one event each.
-        #: Loss, injector transforms and reachability stay per-message, so
-        #: the fault model is unchanged; only the event count drops.
-        self.coalesce = coalesce
         self._endpoints: Dict[str, Endpoint] = {}
         #: Endpoints in creation order; ``_eps[ep.index] is ep``.
         self._eps: List[Endpoint] = []
         #: Component id per endpoint index (flat array, not a dict).
         self._component: List[int] = []
-        #: Pending coalesced deliveries keyed by (dst index, arrival
-        #: time).  Batches are flat interleaved lists
+        #: Pending deliveries keyed by (dst index, arrival time).
+        #: Batches are flat interleaved lists
         #: ``[src_ep, payload, src_ep, payload, ...]`` — no per-message
         #: tuple allocation on the send path.
         self._pending_batches: Dict[Tuple[int, float], List[Any]] = {}
@@ -128,7 +121,7 @@ class Network:
         self.messages_delivered = 0
         self.messages_duplicated = 0
         self.messages_injector_dropped = 0
-        self.delivery_batches = 0  # coalesced events that carried > 1 message
+        self.delivery_batches = 0  # delivery events that carried > 1 message
         #: Push-side observability instruments (repro.obs); ``None`` means
         #: not attached and the delivery paths pay one attribute check.
         self.obs = None
@@ -257,14 +250,7 @@ class Network:
         delay = self.latency.sample(self.sim.rng)
         if not self._injectors:
             # Hot path: no fault injectors — exactly one delivery.
-            self.messages_in_flight += 1
-            if delay < 0.0:
-                delay = 0.0
-            if self.coalesce:
-                self._enqueue_delivery(source, dest, delay, payload)
-            else:
-                self.sim.schedule(delay, self._arrive, src, dst, payload,
-                                  label=f"net {src}->{dst}")
+            self._enqueue_delivery(source, dest, delay, payload)
             return
         deliveries = [delay]
         for injector in self._injectors:
@@ -279,13 +265,7 @@ class Network:
         if len(deliveries) > 1:
             self.messages_duplicated += len(deliveries) - 1
         for this_delay in deliveries:
-            self.messages_in_flight += 1
-            this_delay = max(this_delay, 0.0)
-            if self.coalesce:
-                self._enqueue_delivery(source, dest, this_delay, payload)
-            else:
-                self.sim.schedule(this_delay, self._arrive, src, dst, payload,
-                                  label=f"net {src}->{dst}")
+            self._enqueue_delivery(source, dest, this_delay, payload)
 
     def send_multi(self, src: str, dsts: Iterable[str], payload: Any) -> None:
         """Unicast ``payload`` from ``src`` to each of ``dsts``, in order.
@@ -298,7 +278,7 @@ class Network:
         source = self._endpoints.get(src)
         if source is None or not source.up:
             return
-        if self._injectors or self.loss_rate > 0.0 or not self.coalesce:
+        if self._injectors or self.loss_rate > 0.0:
             for dst in dsts:
                 self.send(src, dst, payload)
             return
@@ -318,36 +298,25 @@ class Network:
         src_component = component[source.index]
         sample = self.latency.sample
         rng = self.sim.rng
-        now = self.sim.now
-        pending = self._pending_batches
-        schedule = self.sim.schedule
-        arrive_batch = self._arrive_batch
+        enqueue = self._enqueue_delivery
         source.messages_sent += len(dests)
         for dest in dests:
             if dest is not source and component[dest.index] != src_component:
                 self.messages_dropped += 1
                 continue
-            delay = sample(rng)
-            self.messages_in_flight += 1
-            if delay < 0.0:
-                delay = 0.0
-            key = (dest.index, now + delay)
-            batch = pending.get(key)
-            if batch is None:
-                pending[key] = [source, payload]
-                schedule(delay, arrive_batch, key, label=dest.batch_label)
-            else:
-                batch.append(source)
-                batch.append(payload)
+            enqueue(source, dest, sample(rng), payload)
 
     def _enqueue_delivery(self, source: Endpoint, dest: Endpoint,
                           delay: float, payload: Any) -> None:
-        """Append to the (dst, arrival-time) batch, creating its single
-        delivery event on first use.  Per-destination send order is
-        preserved: batches deliver their messages in append order, and a
-        batch fires at the heap position of its first message."""
-        arrival = self.sim.now + delay
-        key = (dest.index, arrival)
+        """Put one message in flight: append it to the (dst, arrival-time)
+        batch, creating the batch's single delivery event on first use.
+        Negative delays are clamped to zero.  Per-destination send order
+        is preserved: batches deliver their messages in append order, and
+        a batch fires at the heap position of its first message."""
+        self.messages_in_flight += 1
+        if delay < 0.0:
+            delay = 0.0
+        key = (dest.index, self.sim.now + delay)
         batch = self._pending_batches.get(key)
         if batch is None:
             self._pending_batches[key] = [source, payload]
@@ -402,27 +371,6 @@ class Network:
                 handler(source.node_id, payload)
         self.messages_delivered += delivered
         self.messages_dropped += dropped
-
-    def _arrive(self, src: str, dst: str, payload: Any) -> None:
-        self._deliver_one(src, dst, payload)
-
-    def _deliver_one(self, src: str, dst: str, payload: Any) -> None:
-        self.messages_in_flight -= 1
-        endpoint = self._endpoints.get(dst)
-        if endpoint is None or not endpoint.up or (
-            src != dst and self._component_of(src) != self._component[endpoint.index]
-        ):
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        obs = self.obs
-        if obs is not None:
-            obs.on_batch(1)
-            obs.on_deliver(payload)
-        if self._taps:
-            for tap in self._taps:
-                tap(src, dst, payload)
-        endpoint._deliver(src, payload)
 
     def add_tap(self, tap: Callable[[str, str, Any], None]) -> None:
         """Register an observer called for every delivered message."""

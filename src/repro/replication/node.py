@@ -80,13 +80,6 @@ class NodeConfig:
     #: at delivery time under shared locks in total order — no version
     #: check, no aborts, but reads wait behind earlier writers.
     protocol: str = "certification"
-    #: Apply a delivered transaction's writes in one bulk step scheduled
-    #: when its last write lock is granted, instead of one scheduled
-    #: event per write.  Behaviour-preserving: every write is applied at
-    #: ``max(lock grant time) + write_op_time``, which is exactly when
-    #: the last per-op apply would have landed and when the commit fires
-    #: in both modes (writes execute concurrently, not back to back).
-    batch_writes: bool = True
     #: Number of data partitions ("relations") the object space is hashed
     #: into; 0 disables partitioning.  Enables coarse-granularity transfer
     #: locks (section 4.3) and per-partition lazy round 1 with
@@ -174,7 +167,7 @@ class DeliveredTxn:
     message: TransactionMessage
     pending_writes: Set[str] = field(default_factory=set)
     pending_reads: Set[str] = field(default_factory=set)  # conservative, origin only
-    ungranted_writes: Set[str] = field(default_factory=set)  # batch_writes mode
+    ungranted_writes: Set[str] = field(default_factory=set)
     applied_writes: int = 0
     rolled_back: bool = False
 
@@ -806,22 +799,13 @@ class ReplicatedDatabaseNode:
 
         self.db.tag_writes(gid, writes.keys())
         delivered.pending_writes = set(writes)
-        if self.config.batch_writes:
-            delivered.ungranted_writes = set(writes)
-            # One shared grant handler per transaction (the granted
-            # request carries the resource), not one closure per write.
-            on_grant = self._make_bulk_grant_handler(gid)
-            request = self.db.locks.request
-            for obj in writes:
-                request(owner, obj, LockMode.EXCLUSIVE, on_grant)
-        else:
-            for obj, value in writes.items():
-                self.db.locks.request(
-                    owner,
-                    obj,
-                    LockMode.EXCLUSIVE,
-                    self._make_write_grant_handler(gid, obj, value),
-                )
+        delivered.ungranted_writes = set(writes)
+        # One shared grant handler per transaction (the granted request
+        # carries the resource), not one closure per write.
+        on_grant = self._make_bulk_grant_handler(gid)
+        request = self.db.locks.request
+        for obj in writes:
+            request(owner, obj, LockMode.EXCLUSIVE, on_grant)
 
     def _suppress_duplicate(self, gid: int, message: TransactionMessage) -> None:
         """Answer a resubmitted request from the outcome table.
@@ -872,12 +856,6 @@ class ReplicatedDatabaseNode:
         # that block every later writer at this site only.
         self.db.locks.cancel(message.local_id)
 
-    def _make_write_grant_handler(self, gid: int, obj: str, value: Any):
-        def on_grant(_request) -> None:
-            self.proc.after(self.config.write_op_time, self._apply_write, gid, obj, value)
-
-        return on_grant
-
     def _make_bulk_grant_handler(self, gid: int):
         def on_grant(request) -> None:
             delivered = self._delivered.get(gid)
@@ -886,9 +864,8 @@ class ReplicatedDatabaseNode:
             delivered.ungranted_writes.discard(request.resource)
             if not delivered.ungranted_writes:
                 # All write locks held as of now; one write phase applies
-                # the whole write set after a single write_op_time — the
-                # same instant the per-op mode would apply its last write
-                # and commit.
+                # the whole write set after a single write_op_time (the
+                # writes execute concurrently, not back to back).
                 self._schedule_bulk_apply(gid)
 
         return on_grant
@@ -945,16 +922,6 @@ class ReplicatedDatabaseNode:
             txn.read_set[obj] = version
         delivered.pending_reads.discard(obj)
         if not delivered.pending_reads and not delivered.pending_writes:
-            self._commit_delivered(gid)
-
-    def _apply_write(self, gid: int, obj: str, value: Any) -> None:
-        delivered = self._delivered.get(gid)
-        if delivered is None or delivered.rolled_back:
-            return
-        self.db.apply_write(gid, obj, value)
-        delivered.pending_writes.discard(obj)
-        delivered.applied_writes += 1
-        if not delivered.pending_writes and not delivered.pending_reads:
             self._commit_delivered(gid)
 
     def _commit_delivered(self, gid: int) -> None:

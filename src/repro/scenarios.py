@@ -136,7 +136,6 @@ def run_figure1_scenario(
     db_size: int = 300,
     arrival_rate: float = 80.0,
     check: bool = True,
-    batching: bool = True,
     backend: Optional[str] = None,
     profile: bool = False,
 ) -> ScenarioReport:
@@ -153,7 +152,7 @@ def run_figure1_scenario(
     node_config = NodeConfig(transfer_obj_time=0.002, transfer_batch_size=25)
     cluster = ClusterBuilder(
         n_sites=5, db_size=db_size, seed=seed, strategy=strategy, mode=mode,
-        node_config=node_config, batching=batching, backend=backend,
+        node_config=node_config, backend=backend,
     ).build()
     from repro.tracing import attach_tracer
 
@@ -229,7 +228,6 @@ def run_recovery_experiment(
     node_config: Optional[NodeConfig] = None,
     rejoin_timeout: float = 60.0,
     check: bool = True,
-    batching: bool = True,
     backend: Optional[str] = None,
     fault_storm: str = "none",
 ) -> ScenarioReport:
@@ -252,7 +250,7 @@ def run_recovery_experiment(
     node_config = node_config or NodeConfig(transfer_obj_time=0.0005)
     cluster = ClusterBuilder(
         n_sites=n_sites, db_size=db_size, seed=seed, strategy=strategy, mode=mode,
-        node_config=node_config, batching=batching, backend=backend,
+        node_config=node_config, backend=backend,
     ).build()
     # The bare tracer is observation-equivalent (no RNG draws, no
     # scheduling) and feeds the epoch phase decomposition the E7 sweep

@@ -4,8 +4,8 @@ reconfiguration, fault injection — must be a pure function of the seed.
 Two chaos runs with the same ``ChaosConfig`` must produce byte-identical
 trace event sequences, the same fault schedule, and equal metrics.  This
 is what makes every bug report in this repo reproducible ("seed N
-fails") and what the batching-equivalence property in
-``tests/properties/test_batching_equivalence.py`` builds on.
+fails") and what the audit's committed golden record
+(``AUDIT_golden.json``) builds on.
 
 The seeds below are pinned, not sampled: each exercises a different
 fault mix at moderate intensity, and a regression in any shared-state /

@@ -1,12 +1,12 @@
 """Unit tests for the hot-path batch boundaries.
 
-Batching must be invisible at every seam: the sequencer's staged flush
-must never leak Ordered messages across a view change, the network's
-same-tick coalescing must keep per-message loss/duplication semantics
-under fault injectors, and compressed transfer chunks must account the
-bytes that actually travel.  The end-to-end equivalence property lives
-in ``tests/properties/test_batching_equivalence.py``; these tests pin
-the individual mechanisms so a failure points at the exact layer.
+The sequencer's staged flush must never leak Ordered messages across a
+view change, the network's same-tick delivery batches must keep
+per-message loss/duplication semantics under fault injectors, and
+compressed transfer chunks must account the bytes that actually travel.
+End to end, the committed audit golden record (``AUDIT_golden.json``)
+pins the behaviour; these tests pin the individual mechanisms so a
+failure points at the exact layer.
 """
 
 import pickle
@@ -29,21 +29,28 @@ from repro.sim.core import Simulator
 # ----------------------------------------------------------------------
 # Sequencer staging
 # ----------------------------------------------------------------------
-def make_sequencer(batch=True):
+def record_sends(sent):
+    """send and send_many hooks that append (dst, msg) to ``sent``."""
+    return (lambda dst, msg: sent.append((dst, msg)),
+            lambda dsts, msg: sent.extend((dst, msg) for dst in dsts))
+
+
+def make_sequencer():
     """A ViewTotalOrder at the sequencer (min member) with recording
     send/deliver hooks and a manually drained defer queue."""
     view = View(ViewId(1, "S1"), ("S1", "S2", "S3"))
     sent = []
     delivered = []
     deferred = []
+    send, send_many = record_sends(sent)
     to = ViewTotalOrder(
         view=view,
         me="S1",
         base_gseq=0,
-        send=lambda dst, msg: sent.append((dst, msg)),
+        send=send,
+        send_many=send_many,
         deliver=lambda msg: delivered.append(msg),
         defer=deferred.append,
-        batch=batch,
     )
     return to, sent, delivered, deferred
 
@@ -59,16 +66,15 @@ class TestSequencerStaging:
             to.on_data(data(i))
         # The (empty, still mutable) batch went on the wire with the
         # *first* message of the round — reserving that message's
-        # delivery slot so same-time event ordering at the receivers is
-        # identical to unbatched mode — and one deferred seal is
-        # scheduled.  Nothing is readable from the batch yet.
+        # delivery slot, so same-time timers scheduled later in the
+        # tick cannot overtake it — and one deferred seal is scheduled.
+        # Nothing is readable from the batch yet.
         assert {dst for dst, _ in sent} == {"S2", "S3"}
         assert len(sent) == 2
         assert all(msg.items == () for _, msg in sent)
         assert len(deferred) == 1
-        # Local self-sequencing happened immediately (the sequencer's
-        # protocol state must match unbatched mode within the tick);
-        # app delivery waits for the other members' acks (uniform).
+        # Local self-sequencing happened immediately; app delivery
+        # waits for the other members' acks (uniform).
         assert to.recv_highwater == 2
         assert to.ack_high["S1"] == 2
         assert delivered == []
@@ -84,8 +90,8 @@ class TestSequencerStaging:
 
     def test_single_message_round_still_subsumes_the_ack(self):
         """Even a one-item round ships as a batch: the sequencer's own
-        cumulative ack rides along, so the wire carries two messages per
-        remote member less than the unbatched Ordered + Ack pair."""
+        cumulative ack rides along instead of travelling as a separate
+        Ack."""
         to, sent, _, deferred = make_sequencer()
         to.on_data(data(0))
         deferred.pop()()
@@ -114,15 +120,17 @@ class TestSequencerStaging:
 
     def test_receiver_batch_equals_individual_orders(self):
         """on_ordered_batch must leave the receiver in the same state as
-        the per-message path, emitting one cumulative ack."""
+        a sequence of on_ordered calls (the retransmission path),
+        emitting one cumulative ack."""
         view = View(ViewId(1, "S1"), ("S1", "S2", "S3"))
         results = []
         for batched in (False, True):
             sent, delivered = [], []
+            send, send_many = record_sends(sent)
             to = ViewTotalOrder(
                 view=view, me="S2", base_gseq=0,
-                send=lambda dst, msg, sent=sent: sent.append((dst, msg)),
-                deliver=delivered.append,
+                send=send, send_many=send_many,
+                deliver=delivered.append, defer=lambda fn: None,
             )
             orders = [
                 Ordered(view_id=view.view_id, seq=i, gseq=i, sender="S1",
@@ -149,7 +157,7 @@ class TestSequencerStaging:
 
 
 # ----------------------------------------------------------------------
-# Network same-tick coalescing
+# Network same-tick delivery batches
 # ----------------------------------------------------------------------
 class Sink:
     def __init__(self):
@@ -175,9 +183,9 @@ class Duplicate:
 
 
 class TestNetworkCoalescing:
-    def setup_network(self, **kwargs):
+    def setup_network(self):
         sim = Simulator(seed=1)
-        net = Network(sim, latency=FixedLatency(0.001), **kwargs)
+        net = Network(sim, latency=FixedLatency(0.001))
         sinks = {}
         for node in ("S1", "S2", "S3"):
             endpoint = net.endpoint(node)
@@ -199,20 +207,10 @@ class TestNetworkCoalescing:
         assert net.messages_delivered == 3
         assert sim.events_processed - before == 2  # not 3
 
-    def test_coalescing_off_matches_message_count(self):
-        sim, net, sinks = self.setup_network(coalesce=False)
-        net.send("S1", "S3", "a")
-        net.send("S2", "S3", "b")
-        before = sim.events_processed
-        sim.run(until=0.01)
-        assert sinks["S3"].got == [("S1", "a"), ("S2", "b")]
-        assert net.delivery_batches == 0
-        assert sim.events_processed - before == 2  # one event per message
-
     def test_injector_drop_splits_batch_not_whole_tick(self):
         """Loss is decided per message *before* bucketing: an injector
         dropping one message of a tick must not take down its batch
-        mates (and must not un-coalesce the survivors)."""
+        mates (and must not split the survivors into separate events)."""
         sim, net, sinks = self.setup_network()
         net.add_injector(DropPayload("dead"))
         net.send("S1", "S3", "a")

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import endurance
+from repro.cli import _chaos_config, _endurance_config, build_parser, main
+from repro.faults import chaos
 
 
 class TestParser:
@@ -21,6 +24,10 @@ class TestParser:
     def test_strategy_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["recover", "--strategy", "magic"])
+
+    def test_audit_record_flag(self):
+        assert build_parser().parse_args(["audit", "--record"]).record is True
+        assert build_parser().parse_args(["audit"]).record is False
 
 
 class TestCommands:
@@ -134,3 +141,56 @@ class TestAuditDumpDirGuard:
     def test_audit_cli_force_accepted_by_parser(self):
         args = build_parser().parse_args(["audit", "--force"])
         assert args.force is True
+
+
+class TestChaosValidation:
+    @pytest.mark.parametrize("flags", [["--duration", "-1"],
+                                       ["--intensity", "2"],
+                                       ["--sites", "1"]])
+    def test_invalid_values_are_a_usage_error(self, capsys, flags):
+        assert main(["chaos", "--seed", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_invalid_values_are_rejected_before_a_fleet_runs(self, capsys):
+        assert main(["chaos", "--seeds", "0..3", "--duration", "-1"]) == 2
+        assert "error: duration must be positive" in capsys.readouterr().err
+
+
+class TestReproCommands:
+    """The emitted replay command must rebuild the very same config."""
+
+    @staticmethod
+    def parse(command):
+        argv = shlex.split(command)
+        assert argv[:4] == ["PYTHONPATH=src", "python", "-m", "repro"]
+        return build_parser().parse_args(argv[4:])
+
+    def test_chaos_command_rebuilds_the_config(self):
+        config = chaos.ChaosConfig(
+            seed=12, intensity=0.35, n_sites=5, db_size=33, duration=2.25,
+            mode="evs", backend="logless", strategy="lazy",
+            arrival_rate=75.5, clients=6, sabotage_dedup=True)
+        command = chaos.repro_command(config)
+        assert _chaos_config(self.parse(command)) == config
+
+    def test_endurance_command_rebuilds_the_config(self):
+        config = endurance.EnduranceConfig(
+            seed=4, n_sites=5, db_size=30, duration=7.5, mode="evs",
+            backend="logless", strategy="log_filter", arrival_rate=45.5,
+            clients=4, segments=("storm", "churn"),
+            sabotage_outcome_merge=True)
+        command = endurance.repro_command(config)
+        assert _endurance_config(self.parse(command)) == config
+
+    def test_failed_chaos_run_dumps_a_replayable_command(self, capsys,
+                                                         tmp_path):
+        argv = ["chaos", "--seed", "12", "--mode", "evs", "--backend",
+                "logless", "--sites", "5", "--clients", "6",
+                "--sabotage-dedup", "--artifacts-dir", str(tmp_path)]
+        assert main(argv) == 1
+        repro = (tmp_path / "chaos-seed12-logless" / "repro.txt").read_text()
+        command = next(line for line in repro.splitlines()
+                       if line.startswith("PYTHONPATH="))
+        assert _chaos_config(self.parse(command)) == \
+            _chaos_config(build_parser().parse_args(argv))

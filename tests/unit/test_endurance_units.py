@@ -198,7 +198,11 @@ class TestEnduranceHelpers:
     def test_repro_command_minimal(self):
         command = repro_command(EnduranceConfig(seed=3, mode="evs"))
         assert command == ("PYTHONPATH=src python -m repro chaos "
-                           "--endurance --seed 3 --mode evs")
+                           "--endurance --seed 3 --mode evs "
+                           "--strategy rectable --sites 4 --db-size 40 "
+                           "--rate 60.0 --clients 6 "
+                           "--segments rolling,storm,churn,stabilize "
+                           "--duration 12.0")
 
     def test_repro_command_carries_overrides(self):
         config = EnduranceConfig(seed=0, duration=8.0,

@@ -1,25 +1,45 @@
 """Unit tests for the per-view total order state machine (sequencer)."""
 
-from repro.gcs.messages import Ack, Data, Nak, Ordered
+from repro.gcs.messages import Ack, Data, Nak, Ordered, OrderedBatch
 from repro.gcs.total_order import ViewTotalOrder
 from repro.gcs.view import View, ViewId
 
 
 class Harness:
-    """Drives one member's ViewTotalOrder with a loopback transport."""
+    """Drives one member's ViewTotalOrder with a loopback transport and a
+    manually drained defer queue (the end of the simulator tick)."""
 
     def __init__(self, me="S1", members=("S1", "S2", "S3"), base_gseq=0, uniform=True):
         self.sent = []  # (dst, msg)
         self.delivered = []
+        self.deferred = []
         view = View(ViewId(1, "S1"), members)
         self.to = ViewTotalOrder(
             view=view,
             me=me,
             base_gseq=base_gseq,
             send=lambda dst, msg: self.sent.append((dst, msg)),
+            send_many=lambda dsts, msg: self.sent.extend((dst, msg) for dst in dsts),
             deliver=self.delivered.append,
+            defer=self.deferred.append,
             uniform=uniform,
         )
+
+    def end_tick(self):
+        """Run the deferred callbacks: the sequencer seals its round."""
+        while self.deferred:
+            self.deferred.pop(0)()
+
+    def sent_ordered(self):
+        """(dst, Ordered) for every Ordered on the wire, unpacking the
+        items of sealed OrderedBatch messages."""
+        out = []
+        for dst, msg in self.sent:
+            if isinstance(msg, OrderedBatch):
+                out.extend((dst, item) for item in msg.items)
+            elif isinstance(msg, Ordered):
+                out.append((dst, msg))
+        return out
 
     def ordered(self, seq, sender="S2", payload=None, gseq=None):
         return Ordered(
@@ -43,9 +63,10 @@ class TestSequencing:
     def test_sequencer_assigns_and_multicasts(self):
         h = Harness(me="S1")
         h.to.on_data(Data(sender="S2", msg_id=0, view_id=h.to.view.view_id, payload="x"))
-        ordered = [msg for _, msg in h.sent if isinstance(msg, Ordered)]
-        assert len(ordered) == 2  # to S2 and S3; self handled locally
-        assert ordered[0].seq == 0 and ordered[0].gseq == 0
+        h.end_tick()
+        sent = h.sent_ordered()
+        assert [dst for dst, _ in sent] == ["S2", "S3"]  # self handled locally
+        assert all(m.seq == 0 and m.gseq == 0 and m.payload == "x" for _, m in sent)
 
     def test_sequencer_dedupes_retransmitted_data(self):
         h = Harness(me="S1")
@@ -54,21 +75,25 @@ class TestSequencing:
         before = len(h.sent)
         h.to.on_data(data)
         assert len(h.sent) == before
+        h.end_tick()
+        assert [m.seq for _, m in h.sent_ordered()] == [0, 0]  # once per member
 
     def test_non_sequencer_ignores_data(self):
         h = Harness(me="S2")
         h.to.on_data(Data(sender="S3", msg_id=0, view_id=h.to.view.view_id, payload="x"))
-        assert h.sent == []
+        assert h.sent == [] and h.deferred == []
 
     def test_gseq_uses_base(self):
         h = Harness(me="S1", base_gseq=100)
         h.to.on_data(Data(sender="S2", msg_id=0, view_id=h.to.view.view_id, payload="x"))
-        ordered = next(m for _, m in h.sent if isinstance(m, Ordered))
+        h.end_tick()
+        _, ordered = h.sent_ordered()[0]
         assert ordered.gseq == 100
 
     def test_nak_retransmits_from_history(self):
         h = Harness(me="S1")
         h.to.on_data(Data(sender="S2", msg_id=0, view_id=h.to.view.view_id, payload="x"))
+        h.end_tick()
         h.sent.clear()
         h.to.on_nak(Nak(sender="S3", view_id=h.to.view.view_id, missing=(0,)))
         assert any(isinstance(m, Ordered) and m.seq == 0 for dst, m in h.sent if dst == "S3")
