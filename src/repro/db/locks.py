@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
+
+from repro.db.partitions import PARTITION_PREFIX
 
 #: Resource name of the whole-database lock (section 4.5).
 DB_RESOURCE = "__DATABASE__"
@@ -54,6 +57,7 @@ class LockRequest:
         "on_grant",
         "enqueued_at",
         "granted_at",
+        "arrival",
     )
 
     def __init__(
@@ -74,6 +78,8 @@ class LockRequest:
         self.on_grant = on_grant
         self.enqueued_at = enqueued_at
         self.granted_at: Optional[float] = None
+        #: Position in the manager's arrival order; set when queued.
+        self.arrival = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "granted" if self.granted else ("cancelled" if self.cancelled else "waiting")
@@ -97,7 +103,14 @@ class LockManager:
         # txn_id -> resources it holds; mirror of _holders so releasing
         # a whole transaction is O(locks held), not O(locks held by all).
         self._held_by: Dict[str, Set[str]] = {}
-        self._waiting: List[LockRequest] = []
+        # resource -> its waiting requests in arrival order (no empty
+        # lists), plus the total count of waiting requests.
+        self._queues: Dict[str, List[LockRequest]] = {}
+        self._n_waiting = 0
+        self._arrivals = itertools.count()
+        # Resources a holder or waiter has left since the wait queue was
+        # last known to hold no grantable request (see _pump).
+        self._dirty: Set[str] = set()
         self.wait_times: List[float] = []
         self.grants = 0
         #: Requests that could not be granted immediately (conflicts).
@@ -132,7 +145,11 @@ class LockManager:
         return request.ticket
 
     def waiting_requests(self) -> List[LockRequest]:
-        return [r for r in self._waiting if not r.cancelled]
+        """Every waiting request, in arrival order."""
+        return sorted(
+            (r for queue in self._queues.values() for r in queue),
+            key=attrgetter("arrival"),
+        )
 
     def waiting_for(self, request: LockRequest) -> Set[str]:
         """Transaction ids this waiting request is blocked behind."""
@@ -141,15 +158,15 @@ class LockManager:
             for txn_id, mode in holders.items():
                 if txn_id != request.txn_id and _conflicting(request.mode, mode):
                     blockers.add(txn_id)
-        for other in self._waiting:
-            if (
-                not other.cancelled
-                and other.ticket < request.ticket
-                and other.txn_id != request.txn_id
-                and self._resources_overlap(request.resource, other.resource)
-                and _conflicting(request.mode, other.mode)
-            ):
-                blockers.add(other.txn_id)
+        for queue in self._queues.values():
+            for other in queue:
+                if (
+                    other.ticket < request.ticket
+                    and other.txn_id != request.txn_id
+                    and self._resources_overlap(request.resource, other.resource)
+                    and _conflicting(request.mode, other.mode)
+                ):
+                    blockers.add(other.txn_id)
         return blockers
 
     # ------------------------------------------------------------------
@@ -186,8 +203,14 @@ class LockManager:
             self._grant(request)
         else:
             self.conflicts += 1
-            self._waiting.append(request)
-            depth = len(self._waiting)
+            request.arrival = next(self._arrivals)
+            queue = self._queues.get(resource)
+            if queue is None:
+                self._queues[resource] = [request]
+            else:
+                queue.append(request)
+            self._n_waiting += 1
+            depth = self._n_waiting
             if depth > self.max_waiting:
                 self.max_waiting = depth
             if self.obs is not None:
@@ -211,17 +234,32 @@ class LockManager:
         if held is not None and not held:
             del self._held_by[txn_id]
         if resources:
+            if self._n_waiting:
+                self._dirty.update(resources)
             self._pump()
 
     def cancel(self, txn_id: str) -> None:
         """Drop every waiting request of the transaction and release its
         holds (used when a local-phase reader is aborted)."""
-        for req in self._waiting:
-            if req.txn_id == txn_id:
-                req.cancelled = True
-        self._waiting = [r for r in self._waiting if not r.cancelled]
-        self.release(txn_id)
-        self._pump()
+        queues = self._queues
+        for resource, queue in list(queues.items()):
+            mine = [r for r in queue if r.txn_id == txn_id]
+            if not mine:
+                continue
+            for request in mine:
+                request.cancelled = True
+                queue.remove(request)
+            if not queue:
+                del queues[resource]
+            self._n_waiting -= len(mine)
+            self._dirty.add(resource)
+        # Pump exactly once, even when nothing was dropped: a cancel run
+        # from an on_grant callback lets the grants still pending from
+        # the outer pump fire before it returns.
+        if txn_id in self._held_by:
+            self.release(txn_id)
+        else:
+            self._pump()
 
     # ------------------------------------------------------------------
     # Internals
@@ -232,8 +270,6 @@ class LockManager:
         if a == b or a == DB_RESOURCE or b == DB_RESOURCE:
             return True
         if self._partition_fn is not None:
-            from repro.db.partitions import PARTITION_PREFIX
-
             a_part = a.startswith(PARTITION_PREFIX)
             b_part = b.startswith(PARTITION_PREFIX)
             if a_part and not b_part:
@@ -263,13 +299,21 @@ class LockManager:
         ]
 
     def _grantable(self, request: LockRequest) -> bool:
+        """No conflicting holder, and no earlier conflicting waiter, on
+        any resource that overlaps the request's.
+
+        The waiter check is FIFO fairness across both levels: never
+        overtake an earlier conflicting waiter (this is what orders a
+        transfer transaction's read locks between pre- and
+        post-view-change writers)."""
         txn_id = request.txn_id
         mode = request.mode
         resource = request.resource
+        queues = self._queues
         if self._partition_fn is None and resource != DB_RESOURCE:
             # Fast path mirroring _overlapping_items' common case, but
-            # with no list/tuple allocation: an object lock can only
-            # overlap itself and the database-level lock.
+            # with no list allocation: an object lock can only overlap
+            # itself and the database-level lock.
             exclusive = mode is LockMode.EXCLUSIVE
             holders = self._holders.get(resource)
             if holders:
@@ -285,21 +329,27 @@ class LockManager:
                         exclusive or other_mode is LockMode.EXCLUSIVE
                     ):
                         return False
-        else:
-            for _res, holders in self._overlapping_items(resource):
-                for other_txn, other_mode in holders.items():
-                    if other_txn != txn_id and _conflicting(mode, other_mode):
-                        return False
-        # FIFO fairness across both levels: never overtake an earlier
-        # conflicting waiter (this is what orders a transfer transaction's
-        # read locks between pre- and post-view-change writers).
-        waiting = self._waiting
-        if waiting:
-            ticket = request.ticket
-            for other in waiting:
+            if queues:
+                ticket = request.ticket
+                for queue in (queues.get(resource), queues.get(DB_RESOURCE)):
+                    if queue:
+                        for other in queue:
+                            if (
+                                other.ticket < ticket
+                                and other.txn_id != txn_id
+                                and (exclusive or other.mode is LockMode.EXCLUSIVE)
+                            ):
+                                return False
+            return True
+        for _res, holders in self._overlapping_items(resource):
+            for other_txn, other_mode in holders.items():
+                if other_txn != txn_id and _conflicting(mode, other_mode):
+                    return False
+        ticket = request.ticket
+        for queue in queues.values():
+            for other in queue:
                 if (
-                    not other.cancelled
-                    and other.ticket < ticket
+                    other.ticket < ticket
                     and other.txn_id != txn_id
                     and self._resources_overlap(resource, other.resource)
                     and _conflicting(mode, other.mode)
@@ -328,16 +378,42 @@ class LockManager:
             request.on_grant(request)
 
     def _pump(self) -> None:
-        """Grant every waiting request that has become eligible, in order."""
-        progress = True
-        while progress:
-            progress = False
-            for request in list(self._waiting):
-                if request.cancelled:
-                    self._waiting.remove(request)
+        """Grant the earliest-arrived grantable waiter, repeatedly, until
+        no waiter is grantable.
+
+        When this returns no waiter is grantable, and only a holder or
+        waiter leaving a resource can make one so: granting a waiter
+        turns it into a holder that blocks at least what it blocked
+        while waiting.  Those departures are recorded in ``_dirty``, so
+        only the waiters that overlap a dirty resource are examined.  A
+        grant's ``on_grant`` callback may release or cancel and so pump
+        re-entrantly; the nested pump shares ``_dirty`` and empties it.
+        """
+        dirty = self._dirty
+        queues = self._queues
+        while dirty:
+            if self._partition_fn is None and DB_RESOURCE not in dirty:
+                # An object overlaps only itself and the database.
+                candidates = [queues.get(resource) for resource in dirty]
+                candidates.append(queues.get(DB_RESOURCE))
+            else:
+                candidates = list(queues.values())
+            best: Optional[LockRequest] = None
+            for queue in candidates:
+                if not queue:
                     continue
-                if self._grantable(request):
-                    self._waiting.remove(request)
-                    self._grant(request)
-                    progress = True
-                    break
+                for request in queue:
+                    if best is not None and request.arrival > best.arrival:
+                        break
+                    if self._grantable(request):
+                        best = request
+                        break
+            if best is None:
+                dirty.clear()
+                return
+            queue = queues[best.resource]
+            queue.remove(best)
+            if not queue:
+                del queues[best.resource]
+            self._n_waiting -= 1
+            self._grant(best)

@@ -173,3 +173,35 @@ class TestMetrics:
         lm.request("T1", "x", LockMode.SHARED)
         lm.request("T2", "x", LockMode.SHARED)
         assert lm.grants == 2
+
+
+class TestReleaseWork:
+    def test_transfer_release_examines_only_affected_waiters(self):
+        """A transfer-shaped release pattern stays linear: one reader
+        holds N objects, W writers queue on a few of them, and the reader
+        then releases the objects one at a time.  Each release may only
+        examine the waiters on its own object (and the database)."""
+        n_objects, n_writers, contended = 400, 48, 4
+        lm = LockManager()
+        evaluations = 0
+        grantable = lm._grantable
+
+        def counting(request):
+            nonlocal evaluations
+            evaluations += 1
+            return grantable(request)
+
+        lm._grantable = counting
+        for i in range(n_objects):
+            assert lm.request("XFER", f"o{i}", LockMode.SHARED).granted
+        writers = [
+            lm.request(f"W{j}", f"o{j % contended}", LockMode.EXCLUSIVE)
+            for j in range(n_writers)
+        ]
+        assert not any(w.granted for w in writers)
+        for i in range(n_objects):
+            lm.release("XFER", f"o{i}")
+        # The first writer on each contended object got its lock.
+        assert sum(w.granted for w in writers) == contended
+        assert lm.max_waiting == n_writers
+        assert evaluations <= n_objects + 4 * n_writers
